@@ -1,11 +1,11 @@
 //! Shared restricted-master column-generation core: the **generic round
 //! driver** plus its option/statistics surface.
 //!
-//! Three colgen solvers live in this crate — [`crate::pmcf`] (path-MCF over
-//! the base topology), [`crate::tscolgen`] (time-stepped MCF over the
-//! time-expanded topology) and [`crate::residual`] (re-planning from mid-run
-//! holdings) — and they differ only in how the master LP is built and what a
-//! column means. Everything else is [`run_colgen`]: each solver builds its
+//! Two colgen masters live in this crate — [`crate::pmcf`] (path-MCF over
+//! the base topology) and [`crate::tscolgen`] (time-stepped MCF over the
+//! time-expanded topology, behind both the nominal solve and the
+//! [`crate::residual`] re-plan from mid-run holdings) — and they differ only
+//! in how the master LP is built and what a column means. Everything else is [`run_colgen`]: each solver builds its
 //! restricted master, implements [`PricingOracle`] (price one source into
 //! candidates, lower one candidate into an LP column), and hands the loop to
 //! the driver, which owns
@@ -94,7 +94,8 @@ pub enum ColGenSeed {
     /// Seed with a full fixed path-set family; pricing then only adds what the
     /// family missed. [`crate::tscolgen`] lowers each base path to its
     /// earliest-departure time expansion (paths longer than the step budget are
-    /// dropped, falling back to the shortest path).
+    /// dropped, falling back to the shortest path). The residual re-plan
+    /// ignores this choice: it always seeds shortest paths plus warm suffixes.
     Kind(PathSetKind),
 }
 

@@ -41,7 +41,8 @@
 //!   two by instance size.
 //! * [`residual`] — re-planning after a mid-run failure: a snapshot of where
 //!   the bytes are becomes a list of [`residual::TsDemand`]s solved on the
-//!   punctured topology by the same delivery-exact column generation,
+//!   punctured topology by the same time-expanded colgen engine (a nominal
+//!   instance is the residual one with unit demands at their origins),
 //!   warm-started from the nominal solve's incumbent column pool
 //!   ([`tscolgen::TsColumn`]).
 //! * [`extract`] — widest-path extraction (MCF-extP, §3.2.1) that converts link flows

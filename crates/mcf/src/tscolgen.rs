@@ -7,22 +7,34 @@
 //! the solver's hardest instances: huge degenerate plateaus where the simplex
 //! spends tens of thousands of iterations shuffling flow between equivalent
 //! time-expanded routings. This module reformulates tsMCF as a restricted-master
-//! column-generation problem over **delivery-exact time-expanded path columns**:
+//! column-generation problem over **delivery-exact time-expanded path columns**,
+//! solved by one engine with two entry points:
 //!
-//! * a column of commodity `k = (s, d)` is a whole path of the time-expanded
-//!   graph from `(layer 0, s)` to `(layer steps, d)` — fabric arcs move the
-//!   shard, infinite-capacity self arcs buffer it at a node between steps;
+//! * the instance is a list of [`TsDemand`]s — `amount` shards held at node
+//!   `at` that must reach `dest`. The nominal entry
+//!   ([`solve_tsmcf_colgen_among_with`]) maps commodity `k = (s, d)` to the
+//!   demand `{at: s, amount: 1}`; the residual entry
+//!   ([`crate::residual::solve_residual_colgen`]) passes the shards a
+//!   mid-run failure left behind;
+//! * a column of demand `k` is a whole path of the time-expanded graph from
+//!   `(layer 0, at)` to `(layer steps, dest)` — fabric arcs move the shard,
+//!   infinite-capacity self arcs buffer it at a node between steps;
 //! * the master keeps one **capacity row per (fabric edge, step)**,
-//!   `Σ_paths x − cap_e · U_t ≤ 0`, one **convexity row per commodity**,
-//!   `Σ_p x_{k,p} = 1`, and the per-step utilization variables `U_t` with
-//!   objective `min Σ_t U_t` — exactly the dense objective;
+//!   `Σ_paths x − cap_e · U_t ≤ 0`, one **convexity row per demand**,
+//!   `Σ_p x_{k,p} = amount_k`, and the per-step utilization variables `U_t`
+//!   with objective `min Σ_t U_t` — exactly the dense objective;
 //! * pricing extracts the capacity duals `y_{e,t}` and convexity duals `μ_k`
-//!   and runs **one Dijkstra tree per source** over the expanded graph under
-//!   arc costs `w_{e,t} = max(0, −y_{e,t})` (self arcs are free): the tree
-//!   prices every destination of that source — a commodity's whole time
+//!   and runs **one Dijkstra tree per distinct holding node** over the
+//!   expanded graph under arc costs `w_{e,t} = max(0, −y_{e,t})` (self arcs
+//!   are free): the tree prices every demand held there — its whole time
 //!   horizon — in a single heap run
 //!   ([`a2a_topology::paths::weighted_shortest_path_tree`]; the time-expanded
-//!   graph is itself a [`Topology`]);
+//!   graph is itself a [`Topology`]). Nominally the holding nodes are the
+//!   commodity sources, so this is one tree per source;
+//! * the master is seeded with earliest-departure expansions of base-graph
+//!   paths. [`ColGenOptions::seed`] picks them for the nominal entry only; the
+//!   residual entry always seeds each demand's shortest path plus any warm
+//!   incumbent suffixes ([`crate::residual::warm_seeds_from_columns`]);
 //! * a path improves iff its dual cost is below `μ_k − tolerance`; improving
 //!   paths are appended through the incremental LP session
 //!   ([`a2a_lp::Solver::add_columns`], basis and factorization carried over)
@@ -65,9 +77,9 @@ use a2a_lp::{NewColumn, SimplexOptions, Solver, StandardForm, INF};
 use a2a_topology::transform::TimeExpanded;
 use a2a_topology::{paths, EdgeId, NodeId, Path, Topology};
 
-use crate::colgen::ColGenStats;
-use crate::colgen::{run_colgen, Candidate, ColGenOptions, ColGenSeed, PricingOracle};
+use crate::colgen::{run_colgen, Candidate, ColGenOptions, ColGenSeed, ColGenStats, PricingOracle};
 use crate::pmcf::build_path_sets;
+use crate::residual::{ResidualColGen, ResidualSolution, TsDemand};
 use crate::tsmcf::{minimum_steps, TsMcfSolution};
 use crate::types::{CommoditySet, McfError, McfResult};
 
@@ -155,62 +167,82 @@ pub struct TsColGen {
     pub columns: Vec<TsColumn>,
 }
 
-/// The LP lowering shared by the time-expanded colgen masters
-/// ([`solve_tsmcf_colgen_among_with`] and
+/// The time-expanded colgen master and its [`PricingOracle`], shared by both
+/// entry points ([`solve_tsmcf_colgen_among_with`] and
 /// [`crate::residual::solve_residual_colgen`]): the capacity-row layout over
-/// the expanded graph, path-to-column lowering, detour splicing, and
-/// earliest-departure seed expansion. The two masters differ only in their
-/// convexity rows (`== 1` per commodity vs. `== amount` per demand) and
-/// pricing sources — everything about *columns* lives here once.
-pub(crate) struct ExpandedLowering<'a> {
-    pub(crate) topo: &'a Topology,
-    pub(crate) expanded: &'a TimeExpanded,
-    pub(crate) steps: usize,
+/// the expanded graph, path-to-column lowering, detour splicing,
+/// earliest-departure seed expansion, and pricing by one Dijkstra tree per
+/// distinct holding node over arc costs `w_{e,t} = max(0, −y_{e,t})` (self
+/// arcs free) — each tree prices the whole time horizon of every demand held
+/// at that node.
+struct TsPricer<'a> {
+    topo: &'a Topology,
+    expanded: &'a TimeExpanded,
+    steps: usize,
+    demands: &'a [TsDemand],
     /// Capacity-row index of each expanded edge (`None` for self edges and
     /// infinite-capacity fabric edges — they are never a bottleneck).
-    pub(crate) arc_row: Vec<Option<usize>>,
-    pub(crate) ncap_rows: usize,
+    arc_row: Vec<Option<usize>>,
+    ncap_rows: usize,
+    /// Distinct holding nodes, in first-appearance order.
+    starts: Vec<NodeId>,
+    /// Demand indices held at each holding node, in demand order.
+    demands_of_start: Vec<Vec<usize>>,
+    tol: f64,
+    /// Owning demand of path column `j` (LP column `steps + j`).
+    col_owner: Vec<usize>,
+    /// Fabric arcs of path column `j`, for the extraction.
+    col_arcs: Vec<Vec<(usize, EdgeId, EdgeId)>>,
 }
 
-impl<'a> ExpandedLowering<'a> {
-    /// Builds the capacity-row layout; returns the lowering plus the capacity
-    /// rows' bounds (`-INF <= Σ_paths x − cap_e · U_t <= 0`), to which the
-    /// caller appends its convexity rows.
-    pub(crate) fn build(
+impl<'a> TsPricer<'a> {
+    fn new(
         topo: &'a Topology,
         expanded: &'a TimeExpanded,
         steps: usize,
-    ) -> (Self, Vec<f64>, Vec<f64>) {
+        demands: &'a [TsDemand],
+        tol: f64,
+    ) -> Self {
         let xg = &expanded.graph;
-        let mut arc_row: Vec<Option<usize>> = Vec::with_capacity(xg.num_edges());
-        let mut row_lower = Vec::new();
-        let mut row_upper = Vec::new();
+        let mut arc_row = Vec::with_capacity(xg.num_edges());
+        let mut ncap_rows = 0;
         for xe in 0..xg.num_edges() {
             if !expanded.is_self_edge(xe) && xg.edge(xe).capacity.is_finite() {
-                arc_row.push(Some(row_lower.len()));
-                row_lower.push(-INF);
-                row_upper.push(0.0);
+                arc_row.push(Some(ncap_rows));
+                ncap_rows += 1;
             } else {
                 arc_row.push(None);
             }
         }
-        let ncap_rows = row_lower.len();
-        (
-            Self {
-                topo,
-                expanded,
-                steps,
-                arc_row,
-                ncap_rows,
-            },
-            row_lower,
-            row_upper,
-        )
+        let mut starts: Vec<NodeId> = Vec::new();
+        let mut demands_of_start: Vec<Vec<usize>> = Vec::new();
+        let mut index_of_start: HashMap<NodeId, usize> = HashMap::new();
+        for (k, d) in demands.iter().enumerate() {
+            let si = *index_of_start.entry(d.at).or_insert_with(|| {
+                starts.push(d.at);
+                demands_of_start.push(Vec::new());
+                starts.len() - 1
+            });
+            demands_of_start[si].push(k);
+        }
+        Self {
+            topo,
+            expanded,
+            steps,
+            demands,
+            arc_row,
+            ncap_rows,
+            starts,
+            demands_of_start,
+            tol,
+            col_owner: Vec::new(),
+            col_arcs: Vec::new(),
+        }
     }
 
     /// The per-step utilization columns `U_0..U_{steps-1}`: coefficient
     /// `-cap` on every capacity row of their step (objective 1 each).
-    pub(crate) fn utilization_columns(&self) -> Vec<SparseVec> {
+    fn utilization_columns(&self) -> Vec<SparseVec> {
         let xg = &self.expanded.graph;
         (0..self.steps)
             .map(|t| {
@@ -224,24 +256,14 @@ impl<'a> ExpandedLowering<'a> {
             .collect()
     }
 
-    /// Per-arc pricing costs `w_{e,t} = max(0, −y_{e,t})` from the capacity
-    /// duals (self arcs and uncapacitated arcs stay free).
-    pub(crate) fn arc_weights(&self, y: &[f64]) -> Vec<f64> {
-        let mut weights = vec![0.0; self.expanded.graph.num_edges()];
-        for (xe, r) in self.arc_row.iter().enumerate() {
-            if let Some(r) = *r {
-                weights[xe] = (-y[r]).max(0.0);
-            }
-        }
-        weights
-    }
-
-    /// The fabric arcs of an expanded path, as (step, base edge, expanded
-    /// edge) triples — the shape both the column builder and the solution
-    /// extraction need.
-    pub(crate) fn fabric_arcs(&self, p: &Path) -> Vec<(usize, EdgeId, EdgeId)> {
+    /// Lowers an expanded path into the LP column of demand `k` (a 1 on each
+    /// capacitated arc's row and on the demand's convexity row) and records
+    /// its owner and fabric arcs `(step, base edge, expanded edge)` for the
+    /// extraction.
+    fn push_column(&mut self, k: usize, p: &Path) -> SparseVec {
         let xg = &self.expanded.graph;
         let mut arcs = Vec::with_capacity(p.hops());
+        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(p.hops() + 1);
         for (u, v) in p.links() {
             let xe = xg
                 .find_edge(u, v)
@@ -249,25 +271,18 @@ impl<'a> ExpandedLowering<'a> {
             if self.expanded.is_self_edge(xe) {
                 continue;
             }
-            let t = self.expanded.layer_of(u);
             let base = self
                 .topo
                 .find_edge(self.expanded.base_of(u), self.expanded.base_of(v))
                 .expect("expanded fabric arcs mirror base edges");
-            arcs.push((t, base, xe));
-        }
-        arcs
-    }
-
-    /// Lowers a path's arcs into the LP column of convexity row `k`.
-    pub(crate) fn path_column(&self, k: usize, arcs: &[(usize, EdgeId, EdgeId)]) -> SparseVec {
-        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(arcs.len() + 1);
-        for &(_, _, xe) in arcs {
+            arcs.push((self.expanded.layer_of(u), base, xe));
             if let Some(r) = self.arc_row[xe] {
                 entries.push((r, 1.0));
             }
         }
         entries.push((self.ncap_rows + k, 1.0));
+        self.col_owner.push(k);
+        self.col_arcs.push(arcs);
         SparseVec::from_entries(entries)
     }
 
@@ -278,7 +293,7 @@ impl<'a> ExpandedLowering<'a> {
     /// hop tie-break does not prefer buffering); the spliced path costs no
     /// more under any non-negative arc weights — improving candidates stay
     /// improving — and wastes no capacity when lowered.
-    pub(crate) fn shortcut_detours(&self, p: &Path) -> Path {
+    fn shortcut_detours(&self, p: &Path) -> Path {
         let mut out: Vec<usize> = Vec::new();
         let mut pos_of_base: HashMap<usize, usize> = HashMap::new();
         for &x in p.nodes() {
@@ -305,7 +320,7 @@ impl<'a> ExpandedLowering<'a> {
 
     /// Expands a base-graph path to its earliest-departure time expansion,
     /// buffering at the destination through the remaining steps.
-    pub(crate) fn expand_earliest(&self, p: &Path) -> Path {
+    fn expand_earliest(&self, p: &Path) -> Path {
         let mut nodes = Vec::with_capacity(self.steps + 1);
         for (i, &v) in p.nodes().iter().enumerate() {
             nodes.push(self.expanded.node_at(i, v));
@@ -317,89 +332,24 @@ impl<'a> ExpandedLowering<'a> {
     }
 }
 
-/// Extraction shared by the time-expanded masters: aggregates column weights
-/// per (owner, step, base edge) into per-step flow lists, collects the
-/// positive-weight incumbent pool, and reads the per-step utilizations off
-/// the structural `U_t` columns.
-#[allow(clippy::type_complexity)]
-pub(crate) fn extract_time_stepped(
-    sol: &a2a_lp::StandardSolution,
-    steps: usize,
-    nowners: usize,
-    col_owner: &[usize],
-    col_arcs: &[Vec<(usize, EdgeId, EdgeId)>],
-) -> (Vec<Vec<Vec<(EdgeId, f64)>>>, Vec<TsColumn>, Vec<f64>) {
-    let mut flows: Vec<Vec<Vec<(EdgeId, f64)>>> = vec![vec![Vec::new(); steps]; nowners];
-    let mut columns: Vec<TsColumn> = Vec::new();
-    let mut agg: Vec<Vec<HashMap<EdgeId, f64>>> = vec![vec![HashMap::new(); steps]; nowners];
-    for (j, &k) in col_owner.iter().enumerate() {
-        let w = sol.x[steps + j];
-        if w <= FLOW_TOL {
-            continue;
-        }
-        for &(t, base, _) in &col_arcs[j] {
-            *agg[k][t].entry(base).or_insert(0.0) += w;
-        }
-        columns.push(TsColumn {
-            owner: k,
-            weight: w,
-            arcs: col_arcs[j].iter().map(|&(t, base, _)| (t, base)).collect(),
-        });
-    }
-    for (k, per_step) in agg.into_iter().enumerate() {
-        for (t, map) in per_step.into_iter().enumerate() {
-            let mut list: Vec<(EdgeId, f64)> =
-                map.into_iter().filter(|&(_, a)| a > FLOW_TOL).collect();
-            list.sort_unstable_by_key(|&(e, _)| e);
-            flows[k][t] = list;
-        }
-    }
-    let step_utilization: Vec<f64> = (0..steps).map(|t| sol.x[t].max(0.0)).collect();
-    (flows, columns, step_utilization)
-}
-
-/// [`PricingOracle`] of the nominal time-expanded master: one Dijkstra tree
-/// per commodity source over the expanded graph under arc costs
-/// `w_{e,t} = max(0, −y_{e,t})` (self arcs free) prices every destination's
-/// whole time horizon in one run.
-struct TsPricer<'a> {
-    lower: ExpandedLowering<'a>,
-    commodities: &'a CommoditySet,
-    endpoints: Vec<NodeId>,
-    commodities_of_source: Vec<Vec<usize>>,
-    ncomm: usize,
-    tol: f64,
-    /// Owning commodity of path column `j` (LP column `steps + j`).
-    col_owner: Vec<usize>,
-    /// Fabric arcs of path column `j`, for the extraction.
-    col_arcs: Vec<Vec<(usize, EdgeId, EdgeId)>>,
-}
-
-impl TsPricer<'_> {
-    fn push_column(&mut self, k: usize, p: &Path) -> SparseVec {
-        let arcs = self.lower.fabric_arcs(p);
-        let col = self.lower.path_column(k, &arcs);
-        self.col_owner.push(k);
-        self.col_arcs.push(arcs);
-        col
-    }
-}
-
 impl PricingOracle for TsPricer<'_> {
     fn num_sources(&self) -> usize {
-        self.endpoints.len()
+        self.starts.len()
     }
 
     fn owners_of_source(&self) -> &[Vec<usize>] {
-        &self.commodities_of_source
+        &self.demands_of_start
     }
 
     fn arc_weights(&self, y: &[f64]) -> Vec<f64> {
-        self.lower.arc_weights(y)
+        self.arc_row
+            .iter()
+            .map(|r| r.map_or(0.0, |r| (-y[r]).max(0.0)))
+            .collect()
     }
 
     fn convexity_duals(&self, y: &[f64]) -> Vec<f64> {
-        y[self.lower.ncap_rows..self.lower.ncap_rows + self.ncomm].to_vec()
+        y[self.ncap_rows..self.ncap_rows + self.demands.len()].to_vec()
     }
 
     fn price_source(
@@ -410,25 +360,20 @@ impl PricingOracle for TsPricer<'_> {
         seen: &[HashSet<Path>],
         out: &mut Vec<Candidate>,
     ) {
-        let expanded = self.lower.expanded;
-        let s = self.endpoints[si];
-        let tree =
-            paths::weighted_shortest_path_tree(&expanded.graph, expanded.node_at(0, s), weights);
-        for &d in &self.endpoints {
-            if d == s {
-                continue;
-            }
-            let k = self
-                .commodities
-                .index_of(s, d)
-                .expect("endpoints enumerate the commodity set");
-            let terminus = expanded.node_at(self.lower.steps, d);
+        let expanded = self.expanded;
+        let tree = paths::weighted_shortest_path_tree(
+            &expanded.graph,
+            expanded.node_at(0, self.starts[si]),
+            weights,
+        );
+        for &k in &self.demands_of_start[si] {
+            let terminus = expanded.node_at(self.steps, self.demands[k].dest);
             let cost = tree
                 .distance(terminus)
-                .expect("step budget >= commodity diameter keeps termini reachable");
+                .expect("step budget >= instance diameter keeps termini reachable");
             let violation = mu[k] - cost;
             if violation > self.tol {
-                let p = self.lower.shortcut_detours(
+                let p = self.shortcut_detours(
                     &tree
                         .path_to(terminus)
                         .expect("finite distance implies a path"),
@@ -456,6 +401,129 @@ impl PricingOracle for TsPricer<'_> {
             upper: INF,
         }
     }
+}
+
+/// The one time-expanded colgen engine behind both entry points, returning
+/// the residual-shaped result. `demands` must already be validated and
+/// `steps` at least their diameter; `seeds[k]` lists base-graph paths from
+/// `demands[k].at` to `demands[k].dest` (at most `steps` hops, at least one
+/// per demand so the master starts feasible), lowered here to their
+/// earliest-departure expansions and deduplicated in first-seen order.
+pub(crate) fn solve_time_expanded(
+    topo: &Topology,
+    demands: &[TsDemand],
+    steps: usize,
+    seeds: &[Vec<Path>],
+    options: &ColGenOptions,
+) -> McfResult<ResidualColGen> {
+    let expanded = TimeExpanded::build(topo, steps);
+    let mut pricer = TsPricer::new(topo, &expanded, steps, demands, options.tolerance);
+
+    // Row layout: one capacity row per finite-capacity *fabric* arc (self arcs
+    // buffer for free, infinite-capacity fabric edges are never a bottleneck),
+    // `-INF <= Σ_paths x − cap_e · U_t <= 0`, then one convexity row per
+    // demand, `== amount`. Building the standard form directly keeps row
+    // indices stable for the whole session, which the dual extraction
+    // depends on.
+    let mut row_lower = vec![-INF; pricer.ncap_rows];
+    let mut row_upper = vec![0.0; pricer.ncap_rows];
+    for d in demands {
+        row_lower.push(d.amount);
+        row_upper.push(d.amount);
+    }
+    let nrows = row_lower.len();
+
+    // Columns: U_0..U_{steps-1} first (objective 1 each), then the seed path
+    // columns in demand order with `col_owner[j]` naming the owning demand.
+    let mut cols: Vec<SparseVec> = pricer.utilization_columns();
+    let mut obj: Vec<f64> = vec![1.0; steps];
+    let mut seed: Vec<(usize, Path)> = Vec::new();
+    let mut seen: Vec<HashSet<Path>> = Vec::with_capacity(demands.len());
+    for (k, set) in seeds.iter().enumerate() {
+        let mut dedup = HashSet::with_capacity(set.len());
+        for p in set {
+            let p = pricer.expand_earliest(p);
+            if dedup.insert(p.clone()) {
+                cols.push(pricer.push_column(k, &p));
+                obj.push(0.0);
+                seed.push((k, p));
+            }
+        }
+        seen.push(dedup);
+    }
+    let ncols = cols.len();
+    let sf = StandardForm {
+        nrows,
+        cols,
+        obj,
+        lower: vec![0.0; ncols],
+        upper: vec![INF; ncols],
+        row_lower,
+        row_upper,
+    };
+
+    // The session works on the core solver: no presolve/scaling, so row and
+    // column indices stay stable and the duals come straight off the basis.
+    let simplex_opts = SimplexOptions {
+        pricing: options.pricing,
+        presolve: false,
+        scaling: false,
+        ..SimplexOptions::default()
+    };
+    let mut solver = Solver::new_owned(sf, simplex_opts)?;
+
+    // The U_t columns occupy structural columns 0..steps; path columns follow.
+    let (sol, stats) = run_colgen(&mut solver, &mut pricer, &mut seen, steps, seed, options)?;
+    let TsPricer {
+        col_owner,
+        col_arcs,
+        ..
+    } = pricer;
+
+    // Extraction: aggregate column weights per (demand, step, base edge) and
+    // collect the positive-weight pool. Convexity equality delivers exactly
+    // `amount` per demand and paths conserve flow exactly, so the solution is
+    // junk-free by construction.
+    let mut columns: Vec<TsColumn> = Vec::new();
+    let mut agg: Vec<Vec<HashMap<EdgeId, f64>>> = vec![vec![HashMap::new(); steps]; demands.len()];
+    for (j, &k) in col_owner.iter().enumerate() {
+        let w = sol.x[steps + j];
+        if w <= FLOW_TOL {
+            continue;
+        }
+        for &(t, base, _) in &col_arcs[j] {
+            *agg[k][t].entry(base).or_insert(0.0) += w;
+        }
+        columns.push(TsColumn {
+            owner: k,
+            weight: w,
+            arcs: col_arcs[j].iter().map(|&(t, base, _)| (t, base)).collect(),
+        });
+    }
+    let flows = agg
+        .into_iter()
+        .map(|per_step| {
+            per_step
+                .into_iter()
+                .map(|map| {
+                    let mut list: Vec<(EdgeId, f64)> =
+                        map.into_iter().filter(|&(_, a)| a > FLOW_TOL).collect();
+                    list.sort_unstable_by_key(|&(e, _)| e);
+                    list
+                })
+                .collect()
+        })
+        .collect();
+    Ok(ResidualColGen {
+        solution: ResidualSolution {
+            demands: demands.to_vec(),
+            steps,
+            step_utilization: (0..steps).map(|t| sol.x[t].max(0.0)).collect(),
+            flows,
+        },
+        stats,
+        columns,
+    })
 }
 
 /// Solves tsMCF by column generation for an all-to-all among all nodes, with an
@@ -502,146 +570,51 @@ pub fn solve_tsmcf_colgen_among_with(
         )));
     }
     options.validate().map_err(McfError::BadArgument)?;
-    let ncomm = commodities.len();
-    let expanded = TimeExpanded::build(topo, steps);
 
-    // Row layout: one capacity row per finite-capacity *fabric* arc (self arcs
-    // buffer for free, infinite-capacity fabric edges are never a bottleneck),
-    // then one convexity row (== 1) per commodity. Building the standard form
-    // directly keeps row indices stable for the whole session, which the dual
-    // extraction depends on.
-    let (lower, mut row_lower, mut row_upper) = ExpandedLowering::build(topo, &expanded, steps);
-    for _ in 0..ncomm {
-        row_lower.push(1.0);
-        row_upper.push(1.0);
-    }
-    let nrows = row_lower.len();
-
-    // Seed: one earliest-arrival path per commodity, or a fixed base-graph
-    // family lowered to its earliest-departure expansion (over-long members
-    // dropped; the shortest path is the guaranteed fallback).
-    let mut path_sets: Vec<Vec<Path>> = Vec::with_capacity(ncomm);
-    match options.seed {
-        ColGenSeed::ShortestPath => {
-            for (_, s, d) in commodities.iter() {
-                let p = paths::shortest_path(topo, s, d).ok_or_else(|| {
-                    McfError::BadTopology(format!("no {s}->{d} path exists for the seed"))
-                })?;
-                path_sets.push(vec![lower.expand_earliest(&p)]);
-            }
-        }
-        ColGenSeed::Kind(kind) => {
-            let base_sets = build_path_sets(topo, &commodities, kind)?;
-            for ((_, s, d), set) in commodities.iter().zip(base_sets) {
-                let mut lowered: Vec<Path> = set
-                    .iter()
-                    .filter(|p| p.hops() <= steps)
-                    .map(|p| lower.expand_earliest(p))
-                    .collect();
-                if lowered.is_empty() {
-                    let p = paths::shortest_path(topo, s, d).ok_or_else(|| {
-                        McfError::BadTopology(format!("no {s}->{d} path exists for the seed"))
-                    })?;
-                    lowered.push(lower.expand_earliest(&p));
+    // Seed: one shortest path per commodity, or a fixed base-graph family with
+    // over-long members dropped (the shortest path is the guaranteed
+    // fallback). The engine lowers each to its earliest-departure expansion.
+    let shortest = |s: NodeId, d: NodeId| {
+        paths::shortest_path(topo, s, d).expect("minimum_steps verified reachability")
+    };
+    let seeds: Vec<Vec<Path>> = match options.seed {
+        ColGenSeed::ShortestPath => commodities
+            .iter()
+            .map(|(_, s, d)| vec![shortest(s, d)])
+            .collect(),
+        ColGenSeed::Kind(kind) => build_path_sets(topo, &commodities, kind)?
+            .into_iter()
+            .zip(commodities.iter())
+            .map(|(set, (_, s, d))| {
+                let mut set: Vec<Path> = set.into_iter().filter(|p| p.hops() <= steps).collect();
+                if set.is_empty() {
+                    set.push(shortest(s, d));
                 }
-                path_sets.push(lowered);
-            }
-        }
-    }
-    let mut seen: Vec<HashSet<Path>> = path_sets
-        .iter_mut()
-        .map(|set| {
-            let mut dedup = HashSet::with_capacity(set.len());
-            set.retain(|p| dedup.insert(p.clone()));
-            dedup
-        })
-        .collect();
+                set
+            })
+            .collect(),
+    };
 
-    let endpoints = commodities.endpoints().to_vec();
-    let commodities_of_source: Vec<Vec<usize>> = endpoints
+    // The nominal instance is the residual one with every shard at its origin.
+    let demands: Vec<TsDemand> = commodities
         .iter()
-        .map(|&s| {
-            endpoints
-                .iter()
-                .filter(|&&d| d != s)
-                .map(|&d| {
-                    commodities
-                        .index_of(s, d)
-                        .expect("endpoints enumerate the commodity set")
-                })
-                .collect()
+        .map(|(_, s, d)| TsDemand {
+            origin: s,
+            dest: d,
+            at: s,
+            amount: 1.0,
         })
         .collect();
-    let mut pricer = TsPricer {
-        lower,
-        commodities: &commodities,
-        endpoints,
-        commodities_of_source,
-        ncomm,
-        tol: options.tolerance,
-        col_owner: Vec::new(),
-        col_arcs: Vec::new(),
-    };
-
-    // Columns: U_0..U_{steps-1} first (objective 1 each, coefficient -cap on
-    // every capacity row of their step), then the path columns in append order
-    // with `col_owner[j]` naming the owning commodity. `path_sets` is consumed
-    // here: the session only needs `seen` (dedup) and the pricer's
-    // `col_owner`/`col_arcs` bookkeeping from now on.
-    let mut cols: Vec<SparseVec> = pricer.lower.utilization_columns();
-    let mut obj: Vec<f64> = vec![1.0; steps];
-    let mut seed: Vec<(usize, Path)> = Vec::new();
-    for (k, set) in path_sets.into_iter().enumerate() {
-        for p in set {
-            cols.push(pricer.push_column(k, &p));
-            obj.push(0.0);
-            seed.push((k, p));
-        }
-    }
-    let ncols = cols.len();
-    let sf = StandardForm {
-        nrows,
-        cols,
-        obj,
-        lower: vec![0.0; ncols],
-        upper: vec![INF; ncols],
-        row_lower,
-        row_upper,
-    };
-
-    // The session works on the core solver: no presolve/scaling, so row and
-    // column indices stay stable and the duals come straight off the basis.
-    let simplex_opts = SimplexOptions {
-        pricing: options.pricing,
-        presolve: false,
-        scaling: false,
-        ..SimplexOptions::default()
-    };
-    let mut solver = Solver::new_owned(sf, simplex_opts)?;
-
-    // The U_t columns occupy structural columns 0..steps; path columns follow.
-    let (sol, stats) = run_colgen(&mut solver, &mut pricer, &mut seen, steps, seed, options)?;
-    let TsPricer {
-        col_owner,
-        col_arcs,
-        ..
-    } = pricer;
-
-    // Extraction: aggregate column weights per (commodity, step, base edge).
-    // Convexity equality makes delivery exactly one shard, and paths conserve
-    // flow exactly, so the solution is junk-free by construction.
-    let (flows, columns, step_utilization) =
-        extract_time_stepped(&sol, steps, ncomm, &col_owner, &col_arcs);
-
+    let solved = solve_time_expanded(topo, &demands, steps, &seeds, options)?;
     Ok(TsColGen {
         solution: TsMcfSolution {
             commodities,
             steps,
-            step_utilization,
-            flows,
+            step_utilization: solved.solution.step_utilization,
+            flows: solved.solution.flows,
         },
-        stats,
-        columns,
+        stats: solved.stats,
+        columns: solved.columns,
     })
 }
 

@@ -19,9 +19,12 @@
 
 use std::collections::HashMap;
 
+use a2a_mcf::residual::{
+    residual_minimum_steps, solve_residual_colgen, warm_seeds_from_columns, TsDemand,
+};
 use a2a_mcf::tscolgen::solve_tsmcf_colgen_among_with;
 use a2a_mcf::tsmcf::{minimum_steps, solve_tsmcf_among, TsMcfSolution};
-use a2a_mcf::{ColGenOptions, CommoditySet, Stabilization};
+use a2a_mcf::{ColGenOptions, ColGenStats, CommoditySet, Stabilization};
 use a2a_topology::{generators, puncture, EdgeId, NodeId, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -268,5 +271,94 @@ fn tsmcf_stabilization_is_objective_neutral() {
         "plain U = {} vs stabilized U = {}",
         plain.solution.total_utilization(),
         stab.solution.total_utilization()
+    );
+}
+
+/// Exact trajectory of one colgen solve: rounds, master columns at
+/// termination, master simplex iterations, and the bits of `Σ_t U_t`.
+fn trajectory(stats: &ColGenStats, total_utilization: f64) -> (usize, usize, usize, u64) {
+    assert!(stats.proved_optimal, "pinned solves certify optimality");
+    (
+        stats.num_rounds(),
+        stats.total_columns,
+        stats.total_master_iterations(),
+        total_utilization.to_bits(),
+    )
+}
+
+/// Pins the exact colgen trajectory of the nominal entry (torus-3x3 and
+/// hypercube-4d, production stabilized options) and of one seeded warm
+/// residual repair on torus-4x4. Nominal and residual solves share one
+/// time-expanded master and pricer; any change to seed order, candidate order
+/// or row layout shows up here as a different round count, column count,
+/// iteration count or utilization bit pattern.
+#[test]
+fn time_expanded_colgen_trajectory_is_pinned() {
+    let opts = ColGenOptions::stabilized();
+    let nominal = |topo: &Topology| {
+        let commodities = CommoditySet::all_pairs(topo.num_nodes());
+        let steps = minimum_steps(topo, &commodities).unwrap();
+        solve_tsmcf_colgen_among_with(topo, commodities, steps, &opts).unwrap()
+    };
+    let torus = nominal(&generators::torus(&[3, 3]));
+    assert_eq!(
+        trajectory(&torus.stats, torus.solution.total_utilization()),
+        (13, 142, 199, 4613937818241073152),
+        "torus-3x3 nominal trajectory"
+    );
+    let cube = nominal(&generators::hypercube(4));
+    assert_eq!(
+        trajectory(&cube.stats, cube.solution.total_utilization()),
+        (10, 952, 3147, 4620693217682128896),
+        "hypercube-4d nominal trajectory"
+    );
+
+    // Warm residual repair: cut one seeded link of torus-4x4 and strand every
+    // commodity whose first incumbent column moves one hop downstream of its
+    // origin (half a shard there, the other half still at the origin).
+    let topo = generators::torus(&[4, 4]);
+    let commodities = CommoditySet::all_pairs(topo.num_nodes());
+    let base = nominal(&topo);
+    let mut rng = ChaCha8Rng::seed_from_u64(0x75_4E9A);
+    let cut = rng.random_range(0..topo.num_edges());
+    let punctured = topo.without_edges(&[cut]);
+    let mut demands = Vec::new();
+    for (k, s, d) in commodities.iter() {
+        let hop = base
+            .columns
+            .iter()
+            .find(|c| c.owner == k)
+            .map(|c| c.move_chain(&topo)[1]);
+        match hop {
+            Some(at) if at != d && rng.random_bool(0.5) => {
+                for (at, amount) in [(s, 0.5), (at, 0.5)] {
+                    demands.push(TsDemand {
+                        origin: s,
+                        dest: d,
+                        at,
+                        amount,
+                    });
+                }
+            }
+            _ => demands.push(TsDemand {
+                origin: s,
+                dest: d,
+                at: s,
+                amount: 1.0,
+            }),
+        }
+    }
+    let warm = warm_seeds_from_columns(&base.columns, &commodities, &topo, &punctured, &demands);
+    assert!(!warm.is_empty(), "the repair is warm-started");
+    let steps = residual_minimum_steps(&punctured, &demands).unwrap();
+    let repair = solve_residual_colgen(&punctured, &demands, steps, &opts, &warm).unwrap();
+    assert!(repair
+        .solution
+        .check_consistency(&punctured, 1e-6)
+        .is_empty());
+    assert_eq!(
+        trajectory(&repair.stats, repair.solution.total_utilization()),
+        (4, 808, 1536, 4620934481947880886),
+        "torus-4x4 warm residual trajectory"
     );
 }

@@ -17,8 +17,8 @@
 use a2a_mcf::tsmcf::solve_tsmcf_auto;
 use a2a_schedule::ChunkedSchedule;
 use a2a_simnet::{
-    simulate_chunked_event, AnalyticBackend, EventBackend, EventSimOptions, ExecutionModel,
-    Scenario, ScheduleSimulator, SimError, SimParams,
+    simulate_chunked_event, simulate_chunked_schedule_with, EventSimOptions, ExecutionModel,
+    Scenario, SimError, SimParams,
 };
 use a2a_topology::{generators, Topology};
 
@@ -52,19 +52,16 @@ fn schedule_for(topo: &Topology) -> ChunkedSchedule {
 #[test]
 fn analytic_and_event_backends_agree_on_contention_free_schedules() {
     let params = SimParams::default(); // no injection cap, no QP contention
-    let analytic = AnalyticBackend {
-        params: params.clone(),
-        scenario: Scenario::nominal(),
-    };
-    let event = EventBackend {
-        params: params.clone(),
-        options: EventSimOptions::default(), // synchronized
-    };
+    let event = EventSimOptions::default(); // synchronized
     for topo in families() {
         let sched = schedule_for(&topo);
         for shard in [2048.0, 1024.0 * 1024.0, 32.0 * 1024.0 * 1024.0] {
-            let a = analytic.simulate(&topo, &sched, shard).unwrap();
-            let b = event.simulate(&topo, &sched, shard).unwrap();
+            let a =
+                simulate_chunked_schedule_with(&topo, &sched, shard, &params, &Scenario::nominal())
+                    .unwrap();
+            let b = simulate_chunked_event(&topo, &sched, shard, &params, &event)
+                .unwrap()
+                .report;
             let rel = (a.completion_seconds - b.completion_seconds).abs() / a.completion_seconds;
             assert!(
                 rel < 1e-9,
@@ -221,12 +218,8 @@ fn link_failure_with_rerouted_schedule_end_to_end() {
     )
     .unwrap_err();
     assert!(matches!(err, SimError::FailedLink { .. }), "{err}");
-    let analytic = AnalyticBackend {
-        params: params.clone(),
-        scenario: scenario.clone(),
-    };
     assert!(matches!(
-        analytic.simulate(&topo, &stale, shard).unwrap_err(),
+        simulate_chunked_schedule_with(&topo, &stale, shard, &params, &scenario).unwrap_err(),
         SimError::FailedLink { .. }
     ));
 
@@ -350,11 +343,7 @@ fn alpha_jitter_is_seeded_and_backends_stay_equal() {
         );
 
         // Backend equality must survive the jittered scenario.
-        let analytic = AnalyticBackend {
-            params: params.clone(),
-            scenario: jitter.clone(),
-        };
-        let a = analytic.simulate(&topo, &sched, shard).unwrap();
+        let a = simulate_chunked_schedule_with(&topo, &sched, shard, &params, &jitter).unwrap();
         let rel = (a.completion_seconds - jittered.report.completion_seconds).abs()
             / a.completion_seconds;
         assert!(
@@ -439,11 +428,8 @@ fn tsmcf_colgen_schedules_execute_and_validate_like_dense() {
             simulated.report.completion_seconds
         );
         // Cross-backend equality holds for colgen-lowered schedules too.
-        let analytic = AnalyticBackend {
-            params: params.clone(),
-            scenario: Scenario::nominal(),
-        };
-        let a = analytic.simulate(&topo, &sched, shard).unwrap();
+        let a = simulate_chunked_schedule_with(&topo, &sched, shard, &params, &Scenario::nominal())
+            .unwrap();
         let rel = (a.completion_seconds - simulated.report.completion_seconds).abs()
             / a.completion_seconds;
         assert!(rel < 1e-9, "{}: analytic vs event mismatch", topo.name());
